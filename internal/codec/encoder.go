@@ -144,6 +144,12 @@ func (e *Encoder) recycle(f *frame.Frame) {
 // pass gathers complexity statistics, and both passes' work reaches the
 // trace sink, doubling the measured cost exactly as 2-pass transcoding
 // doubles it in production.
+//
+// The returned *Stats is a copy the caller owns, not a pointer into the
+// encoder: an interior pointer would keep the whole Encoder reachable —
+// recon frames, scratch and the trace sink with it, which for a simulated
+// job is a uarch.Machine and every cache array — for as long as a sweep
+// point or job result holds the stats.
 func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 	if len(frames) == 0 {
 		return nil, nil, ErrNoFrames
@@ -260,7 +266,8 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 		psnrSum += e.stats.Frames[i].PSNR
 	}
 	e.stats.AveragePSNR = psnrSum / float64(len(e.stats.Frames))
-	return out, &e.stats, nil
+	st := e.stats
+	return out, &st, nil
 }
 
 // pushAnchor inserts a reconstructed anchor at the head of the DPB,

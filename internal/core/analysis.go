@@ -79,11 +79,11 @@ func sharedAnalysis(ctx context.Context, w Workload, dopt codec.DecoderOptions, 
 type anaSnapKey struct {
 	w    Workload
 	dopt codec.DecoderOptions
-	cfg  uarch.Config
+	cfg  uarch.ConfigKey
 	p    codec.AnalysisParams
 }
 
-var anaSnapCache = flightCache[anaSnapKey, *uarch.Machine]{name: "ana_snapshot"}
+var anaSnapCache = flightCache[anaSnapKey, *uarch.Machine]{name: "ana_snapshot", size: machineBytes}
 
 // anaParsedCache holds the pre-parsed form of each shared artifact's
 // recorded lookahead events, keyed like the artifact itself (no uarch
@@ -118,7 +118,7 @@ func analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions,
 	if err != nil {
 		return nil, err
 	}
-	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg, p: a.Params}
+	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg.Key(), p: a.Params}
 	return anaSnapCache.get(ctx, key, func() (*uarch.Machine, error) {
 		snap, err := decodedMachine(context.Background(), w, dopt, cfg, noParse)
 		if err != nil {

@@ -325,14 +325,18 @@ func ParsedDecodeTrace(ctx context.Context, w Workload, opt codec.DecoderOptions
 
 // snapKey identifies one decoded-machine snapshot: a machine of one
 // configuration (with the default code image) that has already consumed
-// one workload's decode event stream.
+// one workload's decode event stream. The configuration is keyed by value,
+// so separately built but equal configurations share one snapshot.
 type snapKey struct {
 	w   Workload
 	opt codec.DecoderOptions
-	cfg uarch.Config
+	cfg uarch.ConfigKey
 }
 
-var snapCache = flightCache[snapKey, *uarch.Machine]{name: "snapshot"}
+// machineBytes sizes a machine snapshot for core_cache_bytes.
+func machineBytes(m *uarch.Machine) int64 { return int64(m.SizeBytes()) }
+
+var snapCache = flightCache[snapKey, *uarch.Machine]{name: "snapshot", size: machineBytes}
 
 // decodedMachine returns the cached post-decode machine snapshot for a
 // (workload, decoder options, configuration) triple, building it on first
@@ -347,7 +351,7 @@ func decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, 
 	if err != nil {
 		return nil, err
 	}
-	return snapCache.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Machine, error) {
+	return snapCache.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg.Key()}, func() (*uarch.Machine, error) {
 		m := uarch.NewMachine(cfg, trace.NewImage(nil))
 		if noParse {
 			_, events, err := DecodedMezzanine(context.Background(), w, dopt)

@@ -6,7 +6,10 @@
 // the way hardware counters do.
 package branch
 
-import "maps"
+import (
+	"maps"
+	"unsafe"
+)
 
 // Predictor predicts conditional branch directions. PredictUpdate performs
 // the predict-then-train step for one dynamic branch and reports whether
@@ -21,6 +24,10 @@ type Predictor interface {
 	// Clone returns an independent deep copy of the predictor, including
 	// all trained table and history state.
 	Clone() Predictor
+	// SizeBytes reports the predictor's resident footprint: its tables
+	// plus the keys and values of its loop detector (map overhead is not
+	// counted).
+	SizeBytes() int
 }
 
 // Stats tracks aggregate accuracy.
@@ -82,6 +89,8 @@ func (b *Bimodal) Clone() Predictor {
 	return &n
 }
 
+func (b *Bimodal) SizeBytes() int { return int(unsafe.Sizeof(*b)) + len(b.table) }
+
 func (b *Bimodal) PredictUpdate(pc uint64, taken bool) bool {
 	i := hashPC(pc, b.bits)
 	pred := ctrTaken(b.table[i])
@@ -137,6 +146,8 @@ func (g *GShare) Clone() Predictor {
 	n.table = append([]uint8(nil), g.table...)
 	return &n
 }
+
+func (g *GShare) SizeBytes() int { return int(unsafe.Sizeof(*g)) + len(g.table) }
 
 func (g *GShare) index(pc uint64) uint64 {
 	return (hashPC(pc, g.bits) ^ (g.hist & ((1 << g.bits) - 1)))
@@ -221,6 +232,11 @@ func (p *PentiumM) Clone() Predictor {
 	n.choose = append([]uint8(nil), p.choose...)
 	n.loops = maps.Clone(p.loops)
 	return &n
+}
+
+func (p *PentiumM) SizeBytes() int {
+	return int(unsafe.Sizeof(*p)) + p.bim.SizeBytes() + p.gsh.SizeBytes() + len(p.choose) +
+		len(p.loops)*int(unsafe.Sizeof(uint64(0))+unsafe.Sizeof(int(0)))
 }
 
 func (p *PentiumM) PredictUpdate(pc uint64, taken bool) bool {
@@ -325,6 +341,15 @@ func (t *TAGE) Clone() Predictor {
 	}
 	n.loops = maps.Clone(t.loops)
 	return &n
+}
+
+func (t *TAGE) SizeBytes() int {
+	n := int(unsafe.Sizeof(*t)) + t.base.SizeBytes() +
+		len(t.loops)*int(unsafe.Sizeof(uint64(0))+unsafe.Sizeof([4]int{}))
+	for _, tab := range t.tables {
+		n += len(tab) * int(unsafe.Sizeof(tageEntry{}))
+	}
+	return n
 }
 
 func (t *TAGE) foldedHist(n uint) uint64 {

@@ -4,7 +4,10 @@
 // instrumented codec produces, not from rates or formulas.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Config sizes one cache level.
 type Config struct {
@@ -30,39 +33,40 @@ func (s Stats) MissRate() float64 {
 
 // Cache is a set-associative cache with true-LRU replacement.
 //
-// Each way is one 16-byte entry (tag + LRU stamp, stamp 0 meaning invalid)
-// so a whole set is contiguous in memory: the lookup loop walks one array
-// with one bounds check instead of three parallel slices. The tag shift is
-// precomputed — this function is the single hottest loop of the simulator
-// and runs once per cache-line touch of the entire workload.
+// Each set is kept in recency order: way 0 holds the most recently used
+// line and way assoc-1 the least. A way is one 8-byte tag word, tag+1,
+// with 0 meaning empty. A hit moves its way to the front and a miss shifts
+// the set down one way, evicting the last. Keeping the assoc most recently
+// used distinct lines is exactly true LRU with invalid-first fill — empty
+// ways only ever sit at the tail, so they are evicted before any valid
+// line — and needs no LRU clock.
+//
+// Access is the single hottest function of the simulator and runs once per
+// cache-line touch of the entire workload, so its fast path is kept under
+// Go's inlining budget: a repeat touch of the previous access's line hits
+// without touching the tag array. The set walk is out of line.
 type Cache struct {
 	cfg      Config
-	sets     int
 	setShift uint
 	setMask  uint64
 	tagShift uint
 	assoc    int
-	ents     []entry // sets*assoc, set-major
-	clock    uint64
+	ways     []uint64 // sets*assoc tag words, set-major, each set MRU first
 	stats    Stats
 
-	// MRU short-circuit: index and line number of the most recently touched
-	// entry. mru < 0 means no valid MRU. The MRU entry carries the globally
-	// newest stamp, so it can never be another line's LRU victim — if the
-	// incoming address maps to the same line, the full set walk would find
-	// exactly this entry, making the short-circuit bit-identical.
-	mru     int
-	mruLine uint64
-}
-
-type entry struct {
-	tag   uint64
-	stamp uint64 // LRU clock at last touch; 0 = invalid
+	// MRU short-circuit: the previous access's line spans
+	// [mruBase, mruBase+mruLen). mruLen is 0 until the first access, so the
+	// unsigned range check in Access needs no separate valid flag. That line
+	// sits at way 0 of its set — nothing has touched the cache since — so
+	// the walk would hit it there and move nothing.
+	mruBase uint64
+	mruLen  uint64
 }
 
 // New builds a cache. Size must be a multiple of LineSize*Assoc and the set
 // count must be a power of two; New panics otherwise since configurations
-// are static data.
+// are static data. A single set of 1-byte lines is rejected too: its tags
+// span all 2^64 values, so tag+1 would wrap onto the empty word.
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache %s: bad config %+v", cfg.Name, cfg))
@@ -71,21 +75,17 @@ func New(cfg Config) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineSize {
-		shift++
+	if sets == 1 && cfg.LineSize == 1 {
+		panic(fmt.Sprintf("cache %s: one set of 1-byte lines cannot be tagged", cfg.Name))
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
-		setShift: shift,
+		setShift: uint(log2(cfg.LineSize)),
 		setMask:  uint64(sets - 1),
-		tagShift: uint(setBits(sets)),
+		tagShift: uint(log2(sets)),
 		assoc:    cfg.Assoc,
-		ents:     make([]entry, sets*cfg.Assoc),
-		mru:      -1,
+		ways:     make([]uint64, sets*cfg.Assoc),
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -98,69 +98,64 @@ func (c *Cache) Stats() Stats { return c.stats }
 // reports whether it hit. Writes allocate like reads (write-allocate,
 // write-back approximation).
 func (c *Cache) Access(addr uint64) bool {
-	c.clock++
 	c.stats.Accesses++
-	line := addr >> c.setShift
-	if c.mru >= 0 && line == c.mruLine {
-		// Same line as the previous access. Nothing has touched the cache
-		// since, so the entry is still resident; the set walk would hit it
-		// and perform exactly this stamp update.
-		c.ents[c.mru].stamp = c.clock
+	if addr-c.mruBase < c.mruLen {
 		return true
 	}
-	set := int(line & c.setMask)
-	tag := line >> c.tagShift
-	base := set * c.assoc
-	ents := c.ents[base : base+c.assoc]
-	// Hit scan first, victim scan only on a miss: the LRU victim is dead
-	// work on the (common) hit path, and which entry it would have been is
-	// unobservable when the walk returns early.
-	for i := range ents {
-		e := &ents[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = c.clock
-			c.mru, c.mruLine = base+i, line
+	return c.walk(addr)
+}
+
+// walk is Access past the MRU short-circuit: find the line in its set,
+// moving it to the front on a hit, or shift the set down one way and
+// insert it at the front on a miss. It is kept out of line because
+// inlining it would push Access over the inlining budget.
+//
+//go:noinline
+func (c *Cache) walk(addr uint64) bool {
+	line := addr >> c.setShift
+	c.mruBase, c.mruLen = line<<c.setShift, 1<<c.setShift
+	base := int(line&c.setMask) * c.assoc
+	set := c.ways[base : base+c.assoc]
+	word := line>>c.tagShift + 1
+	for i, w := range set {
+		if w == word {
+			copy(set[1:i+1], set[:i])
+			set[0] = word
 			return true
 		}
 	}
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range ents {
-		if s := ents[i].stamp; s < oldest {
-			victim = i
-			oldest = s
-		}
-	}
 	c.stats.Misses++
-	ents[victim] = entry{tag: tag, stamp: c.clock}
-	c.mru, c.mruLine = base+victim, line
+	copy(set[1:], set)
+	set[0] = word
 	return false
 }
 
-// Clone returns an independent deep copy of the cache: contents, LRU
-// clocks and statistics. Cloning a warmed cache is how core's decoded-
+// Clone returns an independent deep copy of the cache: contents, recency
+// order and statistics. Cloning a warmed cache is how core's decoded-
 // machine snapshots hand every sweep job post-decode cache state at memcpy
 // speed.
 func (c *Cache) Clone() *Cache {
 	n := *c
-	n.ents = append([]entry(nil), c.ents...)
+	n.ways = append([]uint64(nil), c.ways...)
 	return &n
 }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.ents {
-		c.ents[i] = entry{}
-	}
+	clear(c.ways)
 	c.stats = Stats{}
-	c.clock = 0
-	c.mru = -1
-	c.mruLine = 0
+	c.mruBase, c.mruLen = 0, 0
 }
 
-func setBits(sets int) int {
+// SizeBytes reports the cache's resident footprint: the tag array plus the
+// struct itself.
+func (c *Cache) SizeBytes() int {
+	return len(c.ways)*8 + int(unsafe.Sizeof(*c))
+}
+
+func log2(n int) int {
 	b := 0
-	for 1<<b < sets {
+	for 1<<b < n {
 		b++
 	}
 	return b
@@ -176,10 +171,6 @@ type TLB struct {
 // NewTLB builds a TLB with the given entry count, associativity and page
 // size (bytes).
 func NewTLB(name string, entries, assoc, pageSize int) *TLB {
-	pb := uint(0)
-	for 1<<pb < pageSize {
-		pb++
-	}
 	return &TLB{
 		inner: New(Config{
 			Name:     name,
@@ -187,7 +178,7 @@ func NewTLB(name string, entries, assoc, pageSize int) *TLB {
 			LineSize: 1,
 			Assoc:    assoc,
 		}),
-		pageBits: pb,
+		pageBits: uint(log2(pageSize)),
 	}
 }
 
@@ -207,4 +198,9 @@ func (t *TLB) Clone() *TLB {
 	n := *t
 	n.inner = t.inner.Clone()
 	return &n
+}
+
+// SizeBytes reports the TLB's resident footprint.
+func (t *TLB) SizeBytes() int {
+	return t.inner.SizeBytes() + int(unsafe.Sizeof(*t))
 }

@@ -47,6 +47,24 @@ type Config struct {
 	LatL2, LatL3, LatL4, LatMem int
 }
 
+// ConfigKey is a Config in comparable value form, for keying caches of
+// machine state. Config holds L4 by pointer, so == on two separately built
+// but identical configurations (two BeOp1() calls) compares the pointers
+// and fails; the key holds L4 by value instead, a zero Size meaning absent.
+type ConfigKey struct {
+	cfg Config // L4 always nil
+	l4  CacheParams
+}
+
+// Key returns the comparable value form of c.
+func (c Config) Key() ConfigKey {
+	k := ConfigKey{cfg: c}
+	if c.L4 != nil {
+		k.cfg.L4, k.l4 = nil, *c.L4
+	}
+	return k
+}
+
 // Baseline returns the default configuration, Sniper's Gainestown model as
 // published in Table IV: 32K L1s, 256K L2, 8M L3, 128-entry iTLB, 128-entry
 // ROB, 36-entry RS, no issue-at-dispatch, Pentium M branch predictor.

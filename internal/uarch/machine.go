@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"unsafe"
+
 	"repro/internal/trace"
 	"repro/internal/uarch/branch"
 	"repro/internal/uarch/cache"
@@ -152,6 +154,18 @@ func (m *Machine) Clone() *Machine {
 	n.itlb = m.itlb.Clone()
 	n.pred = m.pred.Clone()
 	return &n
+}
+
+// SizeBytes reports the machine's resident footprint: the struct, every
+// cache and TLB tag array and the predictor tables. The code image and
+// fetch tables are shared by every clone and not counted.
+func (m *Machine) SizeBytes() int {
+	n := int(unsafe.Sizeof(*m)) + m.l1i.SizeBytes() + m.l1d.SizeBytes() +
+		m.l2.SizeBytes() + m.l3.SizeBytes() + m.itlb.SizeBytes() + m.pred.SizeBytes()
+	if m.l4 != nil {
+		n += m.l4.SizeBytes()
+	}
+	return n
 }
 
 var _ trace.Sink = (*Machine)(nil)

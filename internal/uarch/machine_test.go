@@ -326,3 +326,39 @@ func TestExtendedConfigs(t *testing.T) {
 		}
 	}
 }
+
+func TestConfigKeyComparesL4ByValue(t *testing.T) {
+	byName, _ := ByName("be_op1")
+	if BeOp1().Key() != BeOp1().Key() || BeOp1().Key() != TableIV()[2].Key() || byName.Key() != BeOp1().Key() {
+		t.Fatal("separately built be_op1 configurations key differently")
+	}
+	noL4 := BeOp1()
+	noL4.L4 = nil
+	otherL4 := BeOp1()
+	otherL4.L4 = &CacheParams{32768 << 10, 64, 16}
+	keys := map[ConfigKey]string{}
+	for _, c := range append(Extended(), noL4, otherL4) {
+		if prev, dup := keys[c.Key()]; dup {
+			t.Fatalf("%s and %s share a key", prev, c.Name)
+		}
+		keys[c.Key()] = c.Name
+	}
+}
+
+func TestMachineSizeBytes(t *testing.T) {
+	base := newTestMachine(Baseline()).SizeBytes()
+	// Tag arrays alone: 8 bytes per line of L1i+L1d+L2+L3, plus the iTLB.
+	if lines := (32<<10 + 32<<10 + 256<<10 + 8192<<10) / 64; base < lines*8+128*8 {
+		t.Fatalf("baseline machine %d bytes, below its tag arrays", base)
+	}
+	be1 := newTestMachine(BeOp1())
+	if got := be1.SizeBytes(); got <= base {
+		t.Fatalf("be_op1 (with L4) %d bytes, baseline %d", got, base)
+	}
+	if c := be1.Clone(); c.SizeBytes() != be1.SizeBytes() {
+		t.Fatalf("clone %d bytes, source %d", c.SizeBytes(), be1.SizeBytes())
+	}
+	if tage := newTestMachine(BsOp()).SizeBytes(); tage <= base {
+		t.Fatalf("bs_op (TAGE) %d bytes, baseline (Pentium M) %d", tage, base)
+	}
+}
