@@ -82,8 +82,10 @@ func splitmix64(x uint64) uint64 {
 }
 
 // gap returns the i-th exponential interarrival time for the given rate.
+// The seed is mixed before the index is added; hashing seed^i instead
+// would let small seeds permute one another's gaps.
 func gap(seed uint64, i int, rate float64) time.Duration {
-	u := float64(splitmix64(seed^uint64(i))>>11) / float64(1<<53) // [0,1)
+	u := float64(splitmix64(splitmix64(seed)+uint64(i))>>11) / float64(1<<53) // [0,1)
 	d := -math.Log(1-u) / rate
 	return time.Duration(d * float64(time.Second))
 }

@@ -41,7 +41,6 @@ var (
 	flagPolicy    = flag.String("policy", "smart", "placement policy: smart or random")
 	flagObjective = flag.String("objective", "seconds", "placement objective: seconds (fleet service time) or cost (dollars under deadlines)")
 	flagDepth     = flag.Int("depth", 0, "admission queue depth (0: default 256)")
-	flagWork      = flag.Int("workers", 0, "concurrent executions (0: one per server)")
 	flagFrames    = flag.Int("frames", 8, "frames per job")
 	flagScale     = flag.Int("scale", 0, "proxy downscale factor (0: auto)")
 	flagSeed      = flag.Uint64("seed", 1, "seed for deterministic random placement")
@@ -68,7 +67,6 @@ func run(ctx context.Context) error {
 		Policy:     policy,
 		Objective:  objective,
 		QueueDepth: *flagDepth,
-		Workers:    *flagWork,
 		Proto:      core.Workload{Frames: *flagFrames, Scale: *flagScale},
 		Seed:       *flagSeed,
 	}

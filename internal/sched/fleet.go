@@ -16,7 +16,8 @@ import (
 
 // GenerateTasks deterministically samples n transcoding tasks across the
 // vbench catalog and the parameter space the paper sweeps. The same (n,
-// seed) always yields the same task list.
+// seed) always yields the same task list, and distinct seeds distinct
+// lists.
 func GenerateTasks(n int, seed uint64) []Task {
 	videos := vbench.Names()
 	presets := []codec.Preset{
@@ -24,7 +25,11 @@ func GenerateTasks(n int, seed uint64) []Task {
 		codec.PresetMedium, codec.PresetSlow,
 	}
 	out := make([]Task, n)
-	state := seed | 1
+	state := seed
+	if state == 0 {
+		// xorshift's one fixed point; every other seed is its own state.
+		state = 0x2545F4914F6CDD1D
+	}
 	next := func(mod int) int {
 		// xorshift64*: deterministic, stdlib-free.
 		state ^= state >> 12
@@ -115,60 +120,11 @@ func AssignPool(tasks []Task, baselineReports []*perf.Report, pool Pool) ([]int,
 	cost := make([][]float64, n)
 	for ti := 0; ti < n; ti++ {
 		cost[ti] = make([]float64, len(pool))
-		for si, cfg := range pool {
-			cost[ti][si] = -Affinity(baselineReports[ti], cfg)
+		for si := range pool {
+			cost[ti][si] = -Affinity(baselineReports[ti], &pool[si])
 		}
 	}
 	return Hungarian(cost)
-}
-
-// AssignDynamic is the dynamic-fleet variant of AssignPool: it places jobs
-// onto whatever servers are free *right now*. The free set is a snapshot —
-// workers join and leave between calls (registration, heartbeat loss,
-// crashes), so unlike AssignPool there is no fixed pool identity: the
-// caller re-snapshots before every batch and maps the returned indices
-// back onto its own slot bookkeeping. Rows may exceed columns (overload);
-// unplaceable rows come back as -1 instead of failing the batch, and rows
-// with a nil report (no baseline characterization yet) are never matched —
-// they return -1 so the caller can place them by its cold-start rule.
-func AssignDynamic(reports []*perf.Report, free []uarch.Config) []int {
-	return AssignDynamicBiased(reports, free, nil)
-}
-
-// AssignDynamicBiased is AssignDynamic with a per-slot additive cost bias:
-// bias[j] (nil: all zero) is added to every job's cost of taking slot j.
-// The intended use is load spreading — the dispatcher feeds a small term
-// proportional to each worker's reported utilization, so that among slots
-// of near-equal affinity the matcher prefers the idler machine, while a
-// real affinity gap still dominates. Bias magnitudes should stay well below
-// typical affinity spreads (the Affinity weights sum to ~1) or placement
-// quality degrades into pure load balancing.
-func AssignDynamicBiased(reports []*perf.Report, free []uarch.Config, bias []float64) []int {
-	out := make([]int, len(reports))
-	var warm []int
-	for i, rep := range reports {
-		out[i] = -1
-		if rep != nil {
-			warm = append(warm, i)
-		}
-	}
-	if len(warm) == 0 || len(free) == 0 {
-		return out
-	}
-	cost := make([][]float64, len(warm))
-	for k, i := range warm {
-		cost[k] = make([]float64, len(free))
-		for j, cfg := range free {
-			cost[k][j] = -Affinity(reports[i], cfg)
-			if bias != nil {
-				cost[k][j] += bias[j]
-			}
-		}
-	}
-	for k, j := range HungarianPad(cost) {
-		out[warm[k]] = j
-	}
-	return out
 }
 
 // PoolSpeedup estimates the fleet-wide mean per-task speedup of an

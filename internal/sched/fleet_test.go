@@ -17,16 +17,28 @@ func TestGenerateTasksDeterministic(t *testing.T) {
 			t.Fatalf("task %d differs between identical seeds", i)
 		}
 	}
-	c := GenerateTasks(20, 8)
-	same := 0
-	for i := range a {
-		if a[i].Video == c[i].Video && a[i].CRF == c[i].CRF {
-			same++
+	// Neighbouring seeds must not collide (seeding with seed|1 would make
+	// seeds 2k and 2k+1 draw the same list).
+	lists := make([][]Task, 17)
+	for seed := range lists {
+		lists[seed] = GenerateTasks(20, uint64(seed))
+	}
+	for x := range lists {
+		for y := x + 1; y < len(lists); y++ {
+			if sameTasks(lists[x], lists[y]) {
+				t.Errorf("seeds %d and %d produced identical tasks", x, y)
+			}
 		}
 	}
-	if same == len(a) {
-		t.Fatal("different seeds produced identical tasks")
+}
+
+func sameTasks(a, b []Task) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
 	}
+	return true
 }
 
 func TestGenerateTasksInRange(t *testing.T) {
@@ -132,115 +144,5 @@ func TestItoaBoundaries(t *testing.T) {
 	}
 	if got, want := itoa(math.MinInt64), strconv.Itoa(math.MinInt64); got != want {
 		t.Errorf("itoa(MinInt64) = %q, want %q", got, want)
-	}
-}
-
-// TestAssignDynamic exercises placement over a free set that changes
-// between batches — the dynamic-fleet shape where workers register, go
-// busy and crash between placement cycles.
-func TestAssignDynamic(t *testing.T) {
-	mk := func(fe, bs, mem, core float64) *perf.Report {
-		return &perf.Report{Topdown: perf.Topdown{
-			FrontEnd: fe, BadSpec: bs, MemBound: mem, CoreBound: core, BackEnd: mem + core,
-		}}
-	}
-	byName := func(name string) uarch.Config {
-		c, ok := uarch.ByName(name)
-		if !ok {
-			t.Fatalf("unknown config %s", name)
-		}
-		return c
-	}
-	feBound, bsBound := mk(40, 2, 5, 3), mk(2, 40, 5, 3)
-
-	// Batch 1: both specialists free — each job routes to its bottleneck fix.
-	free := []uarch.Config{byName("fe_op"), byName("bs_op")}
-	assign := AssignDynamic([]*perf.Report{feBound, bsBound}, free)
-	if free[assign[0]].Name != "fe_op" || free[assign[1]].Name != "bs_op" {
-		t.Fatalf("assign %v routed to %s/%s, want fe_op/bs_op",
-			assign, free[assign[0]].Name, free[assign[1]].Name)
-	}
-
-	// Batch 2: the fe_op worker left (crashed mid-heartbeat); the same
-	// front-end-bound job must still place on what remains.
-	free = []uarch.Config{byName("bs_op"), byName("be_op1")}
-	assign = AssignDynamic([]*perf.Report{feBound}, free)
-	if assign[0] < 0 || assign[0] >= len(free) {
-		t.Fatalf("assign %v: job unplaced despite free workers", assign)
-	}
-
-	// Batch 3: overload — three jobs, one free worker. Exactly one places;
-	// the rest report -1 and stay queued.
-	free = []uarch.Config{byName("fe_op")}
-	assign = AssignDynamic([]*perf.Report{feBound, bsBound, feBound}, free)
-	placed := 0
-	for _, j := range assign {
-		if j >= 0 {
-			placed++
-		}
-	}
-	if placed != 1 {
-		t.Fatalf("assign %v placed %d jobs on one worker", assign, placed)
-	}
-
-	// Cold rows (nil report) are never matched, even with workers to spare.
-	free = []uarch.Config{byName("fe_op"), byName("bs_op")}
-	assign = AssignDynamic([]*perf.Report{nil, bsBound}, free)
-	if assign[0] != -1 {
-		t.Fatalf("cold row placed at %d, want -1", assign[0])
-	}
-	if free[assign[1]].Name != "bs_op" {
-		t.Fatalf("warm row routed to %s, want bs_op", free[assign[1]].Name)
-	}
-
-	// A joined worker set larger than the batch leaves the extras idle.
-	if got := AssignDynamic(nil, free); len(got) != 0 {
-		t.Fatalf("empty batch assigned %v", got)
-	}
-}
-
-// TestAssignDynamicBiased pins the load-spreading tiebreak: between two
-// identical free workers a utilization bias steers the job to the idler
-// one, while a real affinity gap overrides any plausible bias.
-func TestAssignDynamicBiased(t *testing.T) {
-	mk := func(fe, bs, mem, core float64) *perf.Report {
-		return &perf.Report{Topdown: perf.Topdown{
-			FrontEnd: fe, BadSpec: bs, MemBound: mem, CoreBound: core, BackEnd: mem + core,
-		}}
-	}
-	byName := func(name string) uarch.Config {
-		c, ok := uarch.ByName(name)
-		if !ok {
-			t.Fatalf("unknown config %s", name)
-		}
-		return c
-	}
-	feBound := mk(40, 2, 5, 3)
-
-	// Two identical workers: affinity ties, bias decides. Slot 0 is busier.
-	free := []uarch.Config{byName("fe_op"), byName("fe_op")}
-	assign := AssignDynamicBiased([]*perf.Report{feBound}, free, []float64{0.04, 0.0})
-	if assign[0] != 1 {
-		t.Fatalf("tied affinity placed on slot %d, want idler slot 1", assign[0])
-	}
-	// Reversed bias reverses the choice.
-	assign = AssignDynamicBiased([]*perf.Report{feBound}, free, []float64{0.0, 0.04})
-	if assign[0] != 0 {
-		t.Fatalf("tied affinity placed on slot %d, want idler slot 0", assign[0])
-	}
-
-	// Affinity gap dominates: the front-end specialist wins even at full
-	// utilization bias against it.
-	free = []uarch.Config{byName("fe_op"), byName("bs_op")}
-	assign = AssignDynamicBiased([]*perf.Report{feBound}, free, []float64{0.05, 0.0})
-	if free[assign[0]].Name != "fe_op" {
-		t.Fatalf("bias overrode affinity: placed on %s", free[assign[0]].Name)
-	}
-
-	// Nil bias is plain AssignDynamic.
-	a := AssignDynamicBiased([]*perf.Report{feBound}, free, nil)
-	b := AssignDynamic([]*perf.Report{feBound}, free)
-	if a[0] != b[0] {
-		t.Fatalf("nil-bias assignment %v differs from AssignDynamic %v", a, b)
 	}
 }

@@ -22,32 +22,11 @@ func FleetFromPool(p Pool) Fleet {
 	return f
 }
 
-// Configs projects the software view of a fleet for code that only
-// understands uarch configs (accel servers project their zero config).
-func (f Fleet) Configs() Pool {
-	p := make(Pool, len(f))
-	for i, s := range f {
-		p[i] = s.Config
-	}
-	return p
-}
-
-// AllSoftware reports whether no server in the fleet is an accelerator.
-func (f Fleet) AllSoftware() bool {
-	for _, s := range f {
-		if s.Backend == backend.Accel {
-			return false
-		}
-	}
-	return true
-}
-
 // Objective selects what the placement matrix minimizes.
 type Objective string
 
 const (
-	// ObjectiveSeconds minimizes predicted fleet-seconds (the legacy
-	// behavior, and the default).
+	// ObjectiveSeconds minimizes predicted fleet-seconds (the default).
 	ObjectiveSeconds Objective = "seconds"
 	// ObjectiveCost minimizes predicted dollars: seconds × the assigned
 	// server's hourly price.
@@ -91,14 +70,14 @@ type HeteroJob struct {
 // servers need a warm baseline profile (ok=false when cold). Software
 // predictions scale the measured baseline seconds by the topdown affinity
 // (a percentage improvement estimate) of the server's config.
-func PredictSeconds(rep *perf.Report, spec backend.ServerSpec, model backend.AccelModel, frames, width, height int) (float64, bool) {
+func PredictSeconds(rep *perf.Report, spec *backend.ServerSpec, model backend.AccelModel, frames, width, height int) (float64, bool) {
 	if spec.Backend == backend.Accel {
 		return model.Seconds(frames, width, height), true
 	}
 	if rep == nil {
 		return 0, false
 	}
-	s := rep.Seconds * (1 - Affinity(rep, spec.Config)/100)
+	s := rep.Seconds * (1 - Affinity(rep, &spec.Config)/100)
 	if s < 0 {
 		s = 0
 	}
@@ -108,7 +87,7 @@ func PredictSeconds(rep *perf.Report, spec backend.ServerSpec, model backend.Acc
 // Feasible reports whether a server may run a job at all, independent of
 // time: the accelerator must accept the option surface and must not push
 // the effective CRF past the job's quality floor.
-func Feasible(job HeteroJob, spec backend.ServerSpec, model backend.AccelModel) bool {
+func Feasible(job *HeteroJob, spec *backend.ServerSpec, model backend.AccelModel) bool {
 	if spec.Backend != backend.Accel {
 		return true
 	}
@@ -127,19 +106,23 @@ func Feasible(job HeteroJob, spec backend.ServerSpec, model backend.AccelModel) 
 // that and leaves the job unplaced.
 const maskPenalty = 1e12
 
-// AssignHetero builds the economic placement matrix over warm jobs and
-// free servers and solves it with HungarianPad. Cell (i,j) is the
-// objective value (seconds or cents) of running job i on server j;
-// infeasible cells — accelerator option/quality rejections and cells whose
-// predicted seconds exceed the job's deadline — are masked before the
-// solve, and any assignment that lands on a masked cell is returned as -1
-// (unplaced), as are cold jobs (nil Report), which the caller places by
-// fallback policy among servers that pass Feasible.
+// AssignHetero places a batch: it predicts each warm job's service time on
+// each free server and solves the matrix with HungarianPad.
+// Cell (i,j) is the objective value (seconds or cents) of running job i on
+// server j; infeasible cells — accelerator option/quality rejections and
+// cells whose predicted seconds exceed the job's deadline — are masked
+// before the solve, and any assignment that lands on a masked cell is
+// returned as -1 (unplaced), as are cold jobs (nil Report), which the
+// caller places by fallback policy among servers that pass Feasible.
+//
+// The free set is a snapshot — workers join, go busy and leave between
+// calls — so the caller re-snapshots before every batch and maps the
+// returned indices back onto its own slots. Rows may exceed columns
+// (overload); the rows left over come back -1 instead of failing the batch.
 //
 // bias, when non-nil, is a per-server load-spreading term in [0,1]-ish
 // units (typically utilization fractions); it is scaled by the mean
-// feasible cell magnitude so it breaks ties without fighting the
-// objective, mirroring AssignDynamicBiased.
+// feasible cell so it breaks ties without fighting the objective.
 func AssignHetero(jobs []HeteroJob, free []backend.ServerSpec, model backend.AccelModel, obj Objective, bias []float64) []int {
 	out := make([]int, len(jobs))
 	var warm []int
@@ -152,23 +135,30 @@ func AssignHetero(jobs []HeteroJob, free []backend.ServerSpec, model backend.Acc
 	if len(warm) == 0 || len(free) == 0 {
 		return out
 	}
+	// One backing array for the whole matrix, and jobs and specs read in
+	// place: both are large structs, and copying them per cell dominated
+	// the solve.
+	cells := make([]float64, len(warm)*len(free))
 	cost := make([][]float64, len(warm))
 	var sum float64
 	var n int
 	for k, i := range warm {
-		cost[k] = make([]float64, len(free))
-		for j, spec := range free {
-			sec, ok := PredictSeconds(jobs[i].Report, spec, model, jobs[i].Frames, jobs[i].Width, jobs[i].Height)
-			if !ok || !Feasible(jobs[i], spec, model) ||
-				(jobs[i].DeadlineSeconds > 0 && sec > jobs[i].DeadlineSeconds) {
-				cost[k][j] = maskPenalty
+		job := &jobs[i]
+		row := cells[k*len(free) : (k+1)*len(free)]
+		cost[k] = row
+		for j := range free {
+			spec := &free[j]
+			sec, ok := PredictSeconds(job.Report, spec, model, job.Frames, job.Width, job.Height)
+			if !ok || !Feasible(job, spec, model) ||
+				(job.DeadlineSeconds > 0 && sec > job.DeadlineSeconds) {
+				row[j] = maskPenalty
 				continue
 			}
 			v := sec
 			if obj == ObjectiveCost {
 				v = spec.CostCents(sec)
 			}
-			cost[k][j] = v
+			row[j] = v
 			sum += v
 			n++
 		}
@@ -207,8 +197,9 @@ func FeasibleAnywhere(job HeteroJob, specs []backend.ServerSpec, model backend.A
 	if len(specs) == 0 {
 		return true
 	}
-	for _, spec := range specs {
-		if !Feasible(job, spec, model) {
+	for i := range specs {
+		spec := &specs[i]
+		if !Feasible(&job, spec, model) {
 			continue
 		}
 		sec, ok := PredictSeconds(job.Report, spec, model, job.Frames, job.Width, job.Height)

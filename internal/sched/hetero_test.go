@@ -39,7 +39,7 @@ func TestPredictSeconds(t *testing.T) {
 	model := backend.DefaultAccel()
 	rep := warmReport(0.01, 15)
 	soft := softSpec("fe_op", 42)
-	sec, ok := PredictSeconds(rep, soft, model, 4, 64, 64)
+	sec, ok := PredictSeconds(rep, &soft, model, 4, 64, 64)
 	if !ok {
 		t.Fatal("warm software not predictable")
 	}
@@ -48,10 +48,11 @@ func TestPredictSeconds(t *testing.T) {
 	if diff := sec - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("software predict = %v, want %v", sec, want)
 	}
-	if _, ok := PredictSeconds(nil, soft, model, 4, 64, 64); ok {
+	if _, ok := PredictSeconds(nil, &soft, model, 4, 64, 64); ok {
 		t.Fatal("cold software claimed predictable")
 	}
-	asec, ok := PredictSeconds(nil, accelSpec(250), model, 4, 64, 64)
+	accel := accelSpec(250)
+	asec, ok := PredictSeconds(nil, &accel, model, 4, 64, 64)
 	if !ok || asec != model.Seconds(4, 64, 64) {
 		t.Fatalf("accel predict = %v ok=%v, want closed-form %v", asec, ok, model.Seconds(4, 64, 64))
 	}
@@ -64,14 +65,15 @@ func TestFeasibleQualityFloor(t *testing.T) {
 	// Floor 28: accel effective CRF 26+4=30 > 28 → infeasible on accel,
 	// always feasible on software.
 	job.QualityFloor = 28
-	if Feasible(job, accelSpec(250), model) {
+	accel, soft := accelSpec(250), softSpec("baseline", 34)
+	if Feasible(&job, &accel, model) {
 		t.Fatal("quality floor not enforced on accel")
 	}
-	if !Feasible(job, softSpec("baseline", 34), model) {
+	if !Feasible(&job, &soft, model) {
 		t.Fatal("software should ignore quality floor")
 	}
 	job.QualityFloor = 30
-	if !Feasible(job, accelSpec(250), model) {
+	if !Feasible(&job, &accel, model) {
 		t.Fatal("floor 30 should admit accel at CRF 26 (+4)")
 	}
 }
@@ -171,11 +173,97 @@ func TestFleetFromPoolDefaults(t *testing.T) {
 			t.Fatalf("spec not defaulted: %+v", s)
 		}
 	}
-	if !f.AllSoftware() {
-		t.Fatal("AllSoftware false for software pool")
+}
+
+// boundReport is a one-second baseline profile bottlenecked where the
+// Topdown shares put it; affinity then scales the per-server prediction.
+func boundReport(fe, bs, mem, core float64) *perf.Report {
+	return &perf.Report{Config: "baseline", Seconds: 1, Topdown: perf.Topdown{
+		FrontEnd: fe, BadSpec: bs, MemBound: mem, CoreBound: core, BackEnd: mem + core,
+	}}
+}
+
+func softJobs(reps ...*perf.Report) []HeteroJob {
+	jobs := make([]HeteroJob, len(reps))
+	for i, rep := range reps {
+		jobs[i] = crfJob(rep)
 	}
-	f = append(f, accelSpec(250))
-	if f.AllSoftware() {
-		t.Fatal("AllSoftware true with accel present")
+	return jobs
+}
+
+// TestAssignHeteroDynamicFreeSet exercises placement over a free set that
+// changes between batches — the dynamic-fleet shape where workers
+// register, go busy and crash between placement cycles.
+func TestAssignHeteroDynamicFreeSet(t *testing.T) {
+	model := backend.DefaultAccel()
+	feBound, bsBound := boundReport(40, 2, 5, 3), boundReport(2, 40, 5, 3)
+	place := func(free []backend.ServerSpec, reps ...*perf.Report) []int {
+		return AssignHetero(softJobs(reps...), free, model, ObjectiveSeconds, nil)
+	}
+
+	// Both specialists free: each job routes to its bottleneck fix.
+	free := []backend.ServerSpec{softSpec("fe_op", 42), softSpec("bs_op", 42)}
+	assign := place(free, feBound, bsBound)
+	if assign[0] != 0 || assign[1] != 1 {
+		t.Fatalf("assign %v, want fe_op/bs_op [0 1]", assign)
+	}
+
+	// The fe_op worker left; the same front-end-bound job must still
+	// place on what remains.
+	free = []backend.ServerSpec{softSpec("bs_op", 42), softSpec("be_op1", 42)}
+	if assign = place(free, feBound); assign[0] < 0 {
+		t.Fatalf("assign %v: job unplaced despite free workers", assign)
+	}
+
+	// Overload: three jobs, one free worker. Exactly one places; the rest
+	// report -1 and stay queued.
+	free = []backend.ServerSpec{softSpec("fe_op", 42)}
+	placed := 0
+	for _, j := range place(free, feBound, bsBound, feBound) {
+		if j >= 0 {
+			placed++
+		}
+	}
+	if placed != 1 {
+		t.Fatalf("placed %d jobs on one worker", placed)
+	}
+
+	// Cold rows (nil report) are never matched, even with workers to spare.
+	free = []backend.ServerSpec{softSpec("fe_op", 42), softSpec("bs_op", 42)}
+	assign = place(free, nil, bsBound)
+	if assign[0] != -1 || assign[1] != 1 {
+		t.Fatalf("assign %v, want cold row -1 and warm row on bs_op (1)", assign)
+	}
+
+	// No free worker: every row is unplaced. An empty batch assigns nothing.
+	if assign = place(nil, feBound, bsBound); assign[0] != -1 || assign[1] != -1 {
+		t.Fatalf("assign %v on an empty free set, want [-1 -1]", assign)
+	}
+	if got := place(free); len(got) != 0 {
+		t.Fatalf("empty batch assigned %v", got)
+	}
+}
+
+// TestAssignHeteroBias pins the load-spreading tiebreak: between two
+// identical free workers a utilization bias steers the job to the idler
+// one, while a real affinity gap overrides the largest bias the
+// dispatcher feeds (5% of the mean cell).
+func TestAssignHeteroBias(t *testing.T) {
+	model := backend.DefaultAccel()
+	jobs := softJobs(boundReport(40, 2, 5, 3))
+
+	free := []backend.ServerSpec{softSpec("fe_op", 42), softSpec("fe_op", 42)}
+	if got := AssignHetero(jobs, free, model, ObjectiveSeconds, []float64{0.04, 0}); got[0] != 1 {
+		t.Fatalf("tied prediction placed on slot %d, want idler slot 1", got[0])
+	}
+	if got := AssignHetero(jobs, free, model, ObjectiveSeconds, []float64{0, 0.04}); got[0] != 0 {
+		t.Fatalf("tied prediction placed on slot %d, want idler slot 0", got[0])
+	}
+
+	free = []backend.ServerSpec{softSpec("fe_op", 42), softSpec("bs_op", 42)}
+	for _, obj := range []Objective{ObjectiveSeconds, ObjectiveCost} {
+		if got := AssignHetero(jobs, free, model, obj, []float64{0.05, 0}); got[0] != 0 {
+			t.Fatalf("%s: bias overrode affinity: placed on slot %d, want fe_op (0)", obj, got[0])
+		}
 	}
 }

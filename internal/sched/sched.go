@@ -145,7 +145,7 @@ func (m *Matrix) RandomExpectedSeconds() []float64 {
 // stalls; a better predictor recovers only a small part of bad speculation
 // because data-dependent branches stay hard), exactly the kind of reference
 // data the paper says the profiling results provide to the scheduler.
-func Affinity(baseline *perf.Report, cfg uarch.Config) float64 {
+func Affinity(baseline *perf.Report, cfg *uarch.Config) float64 {
 	td := baseline.Topdown
 	switch cfg.Name {
 	case "fe_op":
@@ -173,8 +173,8 @@ func SmartAssignment(tasks []Task, baselineReports []*perf.Report, configs []uar
 	cost := make([][]float64, n)
 	for ti := 0; ti < n; ti++ {
 		cost[ti] = make([]float64, len(configs))
-		for ci, cfg := range configs {
-			cost[ti][ci] = -Affinity(baselineReports[ti], cfg) // maximize affinity
+		for ci := range configs {
+			cost[ti][ci] = -Affinity(baselineReports[ti], &configs[ci]) // maximize affinity
 		}
 	}
 	return Hungarian(cost)

@@ -157,10 +157,10 @@ func TestAffinityMapping(t *testing.T) {
 	cfgFE, _ := uarch.ByName("fe_op")
 	cfgBS, _ := uarch.ByName("bs_op")
 	cfgBase, _ := uarch.ByName("baseline")
-	if Affinity(rep, cfgFE) <= 0 || Affinity(rep, cfgBS) <= 0 {
+	if Affinity(rep, &cfgFE) <= 0 || Affinity(rep, &cfgBS) <= 0 {
 		t.Fatal("affinities must be positive for nonzero shares")
 	}
-	if Affinity(rep, cfgBase) != 0 {
+	if Affinity(rep, &cfgBase) != 0 {
 		t.Fatal("baseline has no affinity")
 	}
 }

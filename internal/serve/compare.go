@@ -35,11 +35,12 @@ func (c Comparison) Delta() float64 {
 // deterministic and assertable in tests.
 func RunComparison(ctx context.Context, pool sched.Pool, tasks []sched.Task, proto core.Workload, seed uint64) (Comparison, error) {
 	var out Comparison
-	smart, err := runClosedLoop(ctx, pool, tasks, proto, seed, PolicySmart)
+	fleet := sched.FleetFromPool(pool)
+	smart, err := runClosedLoop(ctx, fleet, tasks, proto, seed, PolicySmart, sched.ObjectiveSeconds)
 	if err != nil {
 		return out, err
 	}
-	random, err := runClosedLoop(ctx, pool, tasks, proto, seed, PolicyRandom)
+	random, err := runClosedLoop(ctx, fleet, tasks, proto, seed, PolicyRandom, sched.ObjectiveSeconds)
 	if err != nil {
 		return out, err
 	}
@@ -69,11 +70,11 @@ func (c CostComparison) Savings() float64 {
 // like RunComparison, so the outcome depends only on (fleet, tasks, seed).
 func RunCostComparison(ctx context.Context, fleet sched.Fleet, tasks []sched.Task, proto core.Workload, seed uint64) (CostComparison, error) {
 	var out CostComparison
-	secs, err := runClosedLoopFleet(ctx, fleet, tasks, proto, seed, sched.ObjectiveSeconds)
+	secs, err := runClosedLoop(ctx, fleet, tasks, proto, seed, PolicySmart, sched.ObjectiveSeconds)
 	if err != nil {
 		return out, err
 	}
-	cost, err := runClosedLoopFleet(ctx, fleet, tasks, proto, seed, sched.ObjectiveCost)
+	cost, err := runClosedLoop(ctx, fleet, tasks, proto, seed, PolicySmart, sched.ObjectiveCost)
 	if err != nil {
 		return out, err
 	}
@@ -81,44 +82,11 @@ func RunCostComparison(ctx context.Context, fleet sched.Fleet, tasks []sched.Tas
 	return out, nil
 }
 
-func runClosedLoopFleet(ctx context.Context, fleet sched.Fleet, tasks []sched.Task, proto core.Workload, seed uint64, obj sched.Objective) (Totals, error) {
+// runClosedLoop serves tasks one at a time on a fresh loopback server,
+// warming the cost model first under the smart policy.
+func runClosedLoop(ctx context.Context, fleet sched.Fleet, tasks []sched.Task, proto core.Workload, seed uint64, pol Policy, obj sched.Objective) (Totals, error) {
 	s, err := New(Config{
-		Servers: fleet, Objective: obj, Policy: PolicySmart, Workers: 1,
-		Proto: proto, Seed: seed, Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		return Totals{}, err
-	}
-	videos := make([]string, len(tasks))
-	for i, t := range tasks {
-		videos[i] = t.Video
-	}
-	if err := s.Warm(ctx, videos); err != nil {
-		return Totals{}, err
-	}
-	s.Start(ctx)
-	defer s.Stop()
-	for _, t := range tasks {
-		view, err := s.Submit(ctx, JobRequest{
-			Video: t.Video, CRF: t.CRF, Refs: t.Refs, Preset: string(t.Preset),
-		})
-		if err != nil {
-			return Totals{}, fmt.Errorf("serve: cost compare submit %s: %w", t.Video, err)
-		}
-		final, err := s.WaitJob(ctx, view.ID)
-		if err != nil {
-			return Totals{}, err
-		}
-		if final.State != StateDone {
-			return Totals{}, fmt.Errorf("serve: cost compare job %s ended %s: %s", final.ID, final.State, final.Error)
-		}
-	}
-	return s.Totals(), nil
-}
-
-func runClosedLoop(ctx context.Context, pool sched.Pool, tasks []sched.Task, proto core.Workload, seed uint64, pol Policy) (Totals, error) {
-	s, err := New(Config{
-		Pool: pool, Policy: pol, Workers: 1, Proto: proto, Seed: seed,
+		Servers: fleet, Objective: obj, Policy: pol, Proto: proto, Seed: seed,
 		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {

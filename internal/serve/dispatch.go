@@ -21,13 +21,14 @@ import (
 // paper's one-shot Hungarian placement, split into placement (here) and
 // delivery (transport.go / fleet.go). Each cycle it takes the next dequeued
 // job, tops the batch up with whatever else is waiting (bounded by the
-// free-slot count), and solves the batch×free-slots assignment with the
-// same affinity cost model the offline smart scheduler uses — a batch of
-// one degenerates to greedy argmax-affinity, a fuller batch recovers the
-// regret-aware matching (a job only concedes its best server when another
-// job loses more by missing it). Videos without a cached baseline
-// characterization fall back to seeded-random placement, the cold-start
-// behaviour the random control policy uses for everything.
+// free-slot count), and solves the batch×free-slots assignment over
+// predicted service time (sched.AssignHetero: the offline smart
+// scheduler's affinity turned into seconds, or cents under the cost
+// objective) — a batch of one degenerates to greedy argmax-affinity, a
+// fuller batch recovers the regret-aware matching (a job only concedes its
+// best server when another job loses more by missing it). Videos without a
+// cached baseline characterization fall back to seeded-random placement,
+// the cold-start behaviour the random control policy uses for everything.
 
 // run is the dispatcher loop; it exits when ctx cancels or the queue is
 // closed and fully drained (including jobs put back by expiring leases).
@@ -146,56 +147,37 @@ type placement struct {
 // loosened.
 func (s *Server) place(batch []*record, free []slot) []placement {
 	out := make([]placement, len(batch))
-	reports := make([]*perf.Report, len(batch))
+	smart := s.cfg.Policy == PolicySmart
+	var jobs []sched.HeteroJob
+	if smart {
+		jobs = make([]sched.HeteroJob, len(batch))
+	}
 	for bi, rec := range batch {
-		out[bi].slot = -1
-		if s.cfg.Policy == PolicySmart {
-			if reports[bi] = s.costOf(rec.task.Video); reports[bi] != nil {
+		out[bi] = placement{slot: -1, mode: "random"}
+		if smart {
+			jobs[bi] = s.heteroJob(rec, s.costOf(rec.task.Video))
+			out[bi].mode = "cold"
+			if jobs[bi].Report != nil {
 				out[bi].mode = "smart"
-			} else {
-				out[bi].mode = "cold"
 			}
-		} else {
-			out[bi].mode = "random"
 		}
 	}
 	taken := make([]bool, len(free))
-	if s.cfg.Policy == PolicySmart {
-		var assigned []int
-		if s.heteroPlacement(free) {
-			// Economic path: mixed backends and/or the cost objective. The
-			// matrix is built from predicted seconds (affinity-scaled for
-			// software, closed-form for the accelerator), priced when the
-			// objective is dollars, with infeasible cells (option surface,
-			// quality floor, deadline) masked before the solve.
-			specs := make([]backend.ServerSpec, len(free))
-			bias := make([]float64, len(free))
-			jobs := make([]sched.HeteroJob, len(batch))
-			for j, sl := range free {
-				specs[j] = sl.spec
-				bias[j] = utilBias * sl.util / 100
-			}
-			for bi, rec := range batch {
-				jobs[bi] = s.heteroJob(rec, reports[bi])
-			}
-			assigned = sched.AssignHetero(jobs, specs, s.accel, s.cfg.Objective, bias)
-		} else {
-			// Legacy affinity path (software-only fleet, seconds objective):
-			// bit-identical to the pre-economic dispatcher.
-			configs := make([]uarch.Config, len(free))
-			bias := make([]float64, len(free))
-			for j, sl := range free {
-				configs[j] = sl.cfg
-				// Live-load tiebreak: each slot's cost carries a small term from
-				// its worker's reported utilization, so equal-affinity choices
-				// prefer the idler machine. utilBias spans [0, 0.05] across the
-				// 0-100% range — well under typical affinity gaps, so a real
-				// bottleneck match still dominates.
-				bias[j] = utilBias * sl.util / 100
-			}
-			assigned = sched.AssignDynamicBiased(reports, configs, bias)
+	if smart {
+		// The matrix holds predicted seconds (affinity-scaled for software,
+		// closed-form for the accelerator), priced when the objective is
+		// dollars, with infeasible cells (option surface, quality floor,
+		// deadline) masked before the solve. Live-load tiebreak: each
+		// slot's cost carries a small term from its worker's reported
+		// utilization, up to 5% of the mean cell, so equal predictions
+		// prefer the idler machine while a real gap still dominates.
+		specs := make([]backend.ServerSpec, len(free))
+		bias := make([]float64, len(free))
+		for j := range free {
+			specs[j] = free[j].spec
+			bias[j] = utilBias * free[j].util / 100
 		}
-		for bi, j := range assigned {
+		for bi, j := range sched.AssignHetero(jobs, specs, s.accel, s.cfg.Objective, bias) {
 			if j >= 0 {
 				out[bi].slot = j
 				taken[j] = true
@@ -212,7 +194,7 @@ func (s *Server) place(batch []*record, free []slot) []placement {
 		}
 		var remaining []int
 		for j := range free {
-			if !taken[j] && s.executable(rec, free[j].spec) {
+			if !taken[j] && s.executable(rec, &free[j].spec) {
 				remaining = append(remaining, j)
 			}
 		}
@@ -229,21 +211,6 @@ func (s *Server) place(batch []*record, free []slot) []placement {
 	return out
 }
 
-// heteroPlacement reports whether this free snapshot needs the economic
-// matrix: always under the cost objective, and whenever an accelerator
-// slot is free (the affinity model cannot price or time it).
-func (s *Server) heteroPlacement(free []slot) bool {
-	if s.cfg.Objective == sched.ObjectiveCost {
-		return true
-	}
-	for _, sl := range free {
-		if sl.spec.Backend == backend.Accel {
-			return true
-		}
-	}
-	return false
-}
-
 // heteroJob projects a record into the economic placement row.
 func (s *Server) heteroJob(rec *record, rep *perf.Report) sched.HeteroJob {
 	return sched.HeteroJob{
@@ -258,9 +225,9 @@ func (s *Server) heteroJob(rec *record, rep *perf.Report) sched.HeteroJob {
 // floor and (being exactly predictable) its deadline; software slots take
 // anything — a cold software placement is the optimistic bet admission
 // already made.
-func (s *Server) executable(rec *record, spec backend.ServerSpec) bool {
+func (s *Server) executable(rec *record, spec *backend.ServerSpec) bool {
 	job := s.heteroJob(rec, nil)
-	if !sched.Feasible(job, spec, s.accel) {
+	if !sched.Feasible(&job, spec, s.accel) {
 		return false
 	}
 	if rec.deadlineSeconds > 0 && spec.Backend == backend.Accel {

@@ -7,11 +7,11 @@
 // is the same placement policy moved to the deployment shape real
 // transcoding services have (Li et al.): jobs *arrive* on a bounded
 // admission queue (internal/queue) and a dispatcher assigns each batch of
-// waiting jobs to free servers of a sched.Pool using the characterization
-// cost model, falling back to seeded-random placement while the cost cache
-// is cold. Execution runs on the shared exec layer through core.Run, so
-// repeated videos hit the decode/analysis caches exactly like sweep
-// points do.
+// waiting jobs to free servers by predicted service time (or cost) from
+// the characterization model, falling back to seeded-random placement
+// while the cost cache is cold. Every placed job runs through Execute
+// (core.Run on software, core.EncodeOnly on an accelerator), so repeated
+// videos hit the decode/analysis caches exactly like sweep points do.
 package serve
 
 import (
@@ -59,27 +59,20 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Config assembles a serving instance.
 type Config struct {
-	// Pool is the software fleet; one entry per server. Required for the
-	// in-process loopback transport unless Servers is given; ignored in
-	// fleet mode, where capability comes from worker registrations.
-	Pool sched.Pool
-	// Servers is the full heterogeneous fleet — backend kind, uarch
-	// config, hourly price and spot flag per server. When empty it is
-	// derived from Pool at default on-demand prices; when set it overrides
-	// Pool (which becomes its software projection). Like Pool it drives
-	// only the loopback transport.
+	// Servers is the in-process fleet: backend kind, uarch config, hourly
+	// price and spot flag per server (zero prices take the class
+	// defaults). Required for the loopback transport; ignored in fleet
+	// mode, where capability comes from worker registrations. A plain
+	// software pool lifts with sched.FleetFromPool.
 	Servers sched.Fleet
-	// Objective selects what placement minimizes: fleet-seconds (default,
-	// the legacy behavior) or dollars under per-job deadlines and quality
-	// floors (sched.ObjectiveCost).
+	// Objective selects what placement minimizes: fleet-seconds (default)
+	// or dollars under per-job deadlines and quality floors
+	// (sched.ObjectiveCost).
 	Objective sched.Objective
 	// Policy selects smart (default) or random placement.
 	Policy Policy
 	// QueueDepth bounds the admission queue (0: 256, the queue default).
 	QueueDepth int
-	// Workers bounds concurrent loopback executions; 0 means len(Pool)
-	// (every server can run one job at a time, so more workers never help).
-	Workers int
 	// Proto supplies the Workload fields other than Video (Frames, Scale,
 	// Seed) applied to every submitted job, mirroring sched.Measure.
 	Proto core.Workload
@@ -391,23 +384,15 @@ type Server struct {
 
 // New builds a stopped server; call Start to begin dispatching.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.Pool) == 0 && len(cfg.Servers) == 0 && cfg.Fleet == nil {
-		return nil, errors.New("serve: empty pool")
-	}
 	if cfg.Fleet == nil {
-		// Loopback: resolve the economic fleet view. Servers overrides Pool;
-		// a plain Pool is lifted to default on-demand prices, so existing
-		// callers see the legacy behavior with costs attached.
 		if len(cfg.Servers) == 0 {
-			cfg.Servers = sched.FleetFromPool(cfg.Pool)
-		} else {
-			servers := make(sched.Fleet, len(cfg.Servers))
-			for i, spec := range cfg.Servers {
-				servers[i] = spec.FillDefaults()
-			}
-			cfg.Servers = servers
+			return nil, errors.New("serve: empty fleet")
 		}
-		cfg.Pool = cfg.Servers.Configs()
+		servers := make(sched.Fleet, len(cfg.Servers))
+		for i, spec := range cfg.Servers {
+			servers[i] = spec.FillDefaults()
+		}
+		cfg.Servers = servers
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicySmart
@@ -420,9 +405,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.Objective = obj
-	if cfg.Fleet == nil && (cfg.Workers <= 0 || cfg.Workers > len(cfg.Pool)) {
-		cfg.Workers = len(cfg.Pool)
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()
@@ -621,7 +603,7 @@ func (s *Server) submitMulti(ctx context.Context, req JobRequest, task sched.Tas
 		}
 		name := rg.Name
 		if name == "" && len(req.Ladder) > 0 {
-			name = "rung" + itoa(i)
+			name = "rung" + strconv.Itoa(i)
 		}
 		specs[i] = partSpec{task: rtask, opts: ropts, rung: name}
 	}

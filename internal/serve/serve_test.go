@@ -24,8 +24,8 @@ var tinyProto = core.Workload{Frames: 4, Scale: 16}
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.Pool == nil {
-		cfg.Pool = sched.UniformPool(uarch.TableIV(), 1)
+	if cfg.Servers == nil && cfg.Fleet == nil {
+		cfg.Servers = sched.FleetFromPool(sched.UniformPool(uarch.TableIV(), 1))
 	}
 	if cfg.Proto == (core.Workload{}) {
 		cfg.Proto = tinyProto
@@ -82,7 +82,7 @@ func TestSmartBeatsRandomDeterministic(t *testing.T) {
 func TestColdThenLearned(t *testing.T) {
 	// A pool of only baseline servers: the cold random draw must land on
 	// baseline, which feeds the learning path.
-	s := newTestServer(t, Config{Pool: sched.Pool{uarch.Baseline(), uarch.Baseline()}})
+	s := newTestServer(t, Config{Servers: sched.FleetFromPool(sched.Pool{uarch.Baseline(), uarch.Baseline()})})
 	ctx := context.Background()
 	s.Start(ctx)
 	defer s.Stop()
@@ -293,7 +293,7 @@ func TestHTTPAdmissionFull(t *testing.T) {
 // TestStopDrainsQueuedJobs checks graceful shutdown: jobs admitted before
 // Stop still execute.
 func TestStopDrainsQueuedJobs(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{})
 	ctx := context.Background()
 	s.Start(ctx)
 	var ids []string
@@ -328,7 +328,7 @@ func TestStopDrainsQueuedJobs(t *testing.T) {
 func BenchmarkDispatch(b *testing.B) {
 	pool := sched.UniformPool(uarch.TableIV(), 2)
 	s, err := New(Config{
-		Pool: pool, Proto: tinyProto, Seed: 1, Metrics: obs.NewRegistry(),
+		Servers: sched.FleetFromPool(pool), Proto: tinyProto, Seed: 1, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		b.Fatal(err)

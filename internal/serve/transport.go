@@ -12,27 +12,24 @@ import (
 	"repro/internal/perf"
 	"repro/internal/queue"
 	"repro/internal/sched"
-	"repro/internal/uarch"
 )
 
 // This file is the transport half of the dispatcher split: the dispatcher
 // (dispatch.go) owns admission, ordering and placement; a transport owns
 // delivery and completion. Two transports exist: the in-process loopback
-// below (the PR-5 behaviour, kept so RunComparison and single-process
-// deployments work unchanged) and the networked pull-based worker fleet
-// (fleet.go).
+// below (RunComparison and single-process deployments) and the networked
+// pull-based worker fleet (fleet.go). Both run a job through Execute.
 
 // slot is one free execution slot the dispatcher can place onto. Slots are
 // snapshots: a fleet slot can vanish between Free and Start (the worker
 // crashed or its poll timed out), which Start reports as an error so the
 // dispatcher requeues instead of losing the job.
 type slot struct {
-	id    string       // transport-unique slot key
-	label string       // what JobView.Server reports (config name / worker id)
-	cfg   uarch.Config // capability metadata driving placement
-	// spec is the slot's full economic capability: backend kind, uarch
-	// config, hourly price, spot flag. cfg duplicates spec.Config for the
-	// legacy affinity path.
+	id    string // fleet worker id (fleet slots)
+	index int    // server index (loopback slots)
+	label string // what JobView.Server reports (config name / worker id)
+	// spec is the slot's full capability, the placement input: backend
+	// kind, uarch config, hourly price, spot flag.
 	spec backend.ServerSpec
 	// util is the slot's reported utilization percent (fleet heartbeats;
 	// loopback slots are dedicated simulated servers and report 0). The
@@ -80,19 +77,20 @@ type transport interface {
 // --- loopback -------------------------------------------------------------------
 
 // loopback is the in-process transport: the fleet is simulated by running
-// every placed job through core.Run on the shared exec stream, one busy
-// flag per configured server. It is the transport behind RunComparison and
-// any serve instance without Fleet options.
+// every placed job through Execute on its own goroutine, one busy flag per
+// configured server. The free-slot set is the concurrency bound: a server
+// runs one job at a time. It is the transport behind RunComparison and any
+// serve instance without Fleet options.
 type loopback struct {
-	pool    sched.Pool
-	fleet   sched.Fleet // per-server specs, aligned with pool indices
+	fleet   sched.Fleet
 	accel   backend.AccelModel
-	workers int
 	proto   core.Workload
 	metrics *obs.Registry
 	busySrv *obs.Gauge
+	// execute runs one job; Execute outside tests.
+	execute func(context.Context, backend.ServerSpec, backend.AccelModel, core.Job) (float64, *core.Result, error)
 
-	stream *exec.Stream
+	running sync.WaitGroup // started jobs not yet finished
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -102,13 +100,12 @@ type loopback struct {
 
 func newLoopback(cfg Config, reg *obs.Registry) *loopback {
 	l := &loopback{
-		pool:    cfg.Servers.Configs(),
 		fleet:   cfg.Servers,
 		accel:   backend.DefaultAccel(),
-		workers: cfg.Workers,
 		proto:   cfg.Proto,
 		metrics: reg,
 		busySrv: reg.Gauge("serve_busy_servers"),
+		execute: Execute,
 		busy:    make([]bool, len(cfg.Servers)),
 		free:    len(cfg.Servers),
 	}
@@ -116,11 +113,9 @@ func newLoopback(cfg Config, reg *obs.Registry) *loopback {
 	return l
 }
 
-func (l *loopback) open(ctx context.Context) {
-	l.stream = exec.Pool{Workers: l.workers, Metrics: l.metrics}.Stream(ctx)
-}
+func (l *loopback) open(context.Context) {}
 
-func (l *loopback) size() int { return len(l.pool) }
+func (l *loopback) size() int { return len(l.fleet) }
 
 func (l *loopback) freeSlots() []slot {
 	l.mu.Lock()
@@ -128,10 +123,7 @@ func (l *loopback) freeSlots() []slot {
 	var out []slot
 	for i, b := range l.busy {
 		if !b {
-			out = append(out, slot{
-				id: "local-" + itoa(i), label: l.fleet[i].Label(),
-				cfg: l.pool[i], spec: l.fleet[i],
-			})
+			out = append(out, slot{index: i, label: l.fleet[i].Label(), spec: l.fleet[i]})
 		}
 	}
 	return out
@@ -170,58 +162,49 @@ func (l *loopback) waitFree(ctx context.Context) bool {
 	return true
 }
 
+// start runs the job on its own goroutine. A one-job exec.Pool.Map
+// supplies the execution engine's panic containment and telemetry: a
+// panicking job settles as failed instead of taking the server down.
 func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record], finish func(outcome)) error {
-	i, err := l.index(sl.id)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
+	}
+	i := sl.index
+	if i < 0 || i >= len(l.fleet) {
+		return fmt.Errorf("serve: unknown loopback slot %d", i)
 	}
 	l.mu.Lock()
 	if l.busy[i] {
 		l.mu.Unlock()
-		return fmt.Errorf("serve: slot %s already busy", sl.id)
+		return fmt.Errorf("serve: loopback slot %d already busy", i)
 	}
 	l.busy[i] = true
 	l.free--
-	l.busySrv.Set(int64(len(l.pool) - l.free))
+	l.busySrv.Set(int64(len(l.fleet) - l.free))
 	l.mu.Unlock()
 
 	rec := tk.Payload()
-	if err := l.stream.Submit(ctx, func(jctx context.Context) error {
-		spec := l.fleet[i]
-		cfg := l.pool[i]
-		w := l.proto
-		w.Video = rec.task.Video
-		job := core.Job{Workload: w, Options: rec.opts, Config: cfg, Segment: rec.seg, KeepStream: rec.wantStream}
-		if spec.Backend == backend.Accel {
-			// Fixed-function path: the encode runs with no uarch simulation
-			// attached (same bits, no profile) and the wall clock comes from
-			// the accelerator's closed-form throughput model.
-			res, err := core.EncodeOnly(jctx, job)
-			l.release(i)
-			if err != nil {
-				finish(outcome{config: spec.Label(), spec: spec, err: err})
-				return err
+	spec := l.fleet[i]
+	w := l.proto
+	w.Video = rec.task.Video
+	job := core.Job{Workload: w, Options: rec.opts, Segment: rec.seg, KeepStream: rec.wantStream}
+	l.running.Add(1)
+	go func() {
+		defer l.running.Done()
+		out := outcome{config: spec.Label(), spec: spec}
+		errs, _ := exec.Pool{Metrics: l.metrics}.Map(ctx, 1, func(jctx context.Context, _ int) error {
+			sec, res, err := l.execute(jctx, spec, l.accel, job)
+			if err == nil {
+				out.seconds, out.report, out.stream = sec, res.Report, res.Stream
 			}
-			finish(outcome{
-				seconds: l.accel.Seconds(rec.frames(), rec.pw, rec.ph),
-				config:  spec.Label(), spec: spec, stream: res.Stream,
-			})
-			return nil
-		}
-		res, err := core.Run(jctx, job)
+			return err
+		})
+		out.err = errs[0]
 		// Release before finishing: a closed-loop client that saw the job
 		// settle must find the fleet capacity already restored.
 		l.release(i)
-		if err != nil {
-			finish(outcome{config: cfg.Name, spec: spec, err: err})
-			return err
-		}
-		finish(outcome{seconds: res.Report.Seconds, report: res.Report, config: cfg.Name, spec: spec, stream: res.Stream})
-		return nil
-	}); err != nil {
-		l.release(i)
-		return fmt.Errorf("serve: dispatch: %w", err)
-	}
+		finish(out)
+	}()
 	return nil
 }
 
@@ -230,28 +213,10 @@ func (l *loopback) release(i int) {
 	l.mu.Lock()
 	l.busy[i] = false
 	l.free++
-	l.busySrv.Set(int64(len(l.pool) - l.free))
+	l.busySrv.Set(int64(len(l.fleet) - l.free))
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
 
-func (l *loopback) close() {
-	if l.stream != nil {
-		l.stream.Close()
-	}
-}
-
-// index resolves a loopback slot id back to its pool index.
-func (l *loopback) index(id string) (int, error) {
-	var i int
-	if _, err := fmt.Sscanf(id, "local-%d", &i); err != nil || i < 0 || i >= len(l.pool) {
-		return 0, fmt.Errorf("serve: unknown loopback slot %q", id)
-	}
-	return i, nil
-}
-
-// itoa is a stdlib-free decimal render for small non-negative ints (slot
-// ids); the sched package keeps its own full-range variant.
-func itoa(v int) string {
-	return fmt.Sprintf("%d", v)
-}
+// close waits for the jobs already started.
+func (l *loopback) close() { l.running.Wait() }

@@ -200,23 +200,17 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 		job := core.Job{
 			Workload:   core.Workload{Video: a.Video, Frames: a.Frames, Scale: a.Scale, Seed: a.Seed},
 			Options:    opts,
-			Config:     w.opts.Config,
 			Segment:    codec.Segment{Start: a.SegStart, End: a.SegEnd},
 			KeepStream: a.WantStream,
 		}
-		if w.opts.Backend == backend.Accel {
-			w.executeAccel(jctx, job, &rep)
+		if sec, res, err := serve.Execute(jctx, w.spec, w.accel, job); err != nil {
+			rep.Error = err.Error()
 		} else {
-			res, err := core.Run(jctx, job)
-			if err != nil {
-				rep.Error = err.Error()
-			} else {
-				rep.Seconds = res.Report.Seconds
+			rep.Seconds = sec
+			if res.Report != nil {
 				rep.Topdown = &res.Report.Topdown
-				if a.WantStream {
-					rep.Stream = res.Stream
-				}
 			}
+			rep.Stream = res.Stream
 		}
 		if pad := w.opts.MinJobTime - time.Since(started); pad > 0 {
 			sleep(jctx, pad)
@@ -239,35 +233,6 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 		w.mu.Lock()
 		w.jobsDone++
 		w.mu.Unlock()
-	}
-}
-
-// executeAccel is the fixed-function execution path: the encode runs with
-// no uarch simulation attached (identical bitstream, no profile) and the
-// reported wall clock comes from the accelerator's closed-form throughput
-// model. Jobs outside the ASIC's option surface are rejected — placement
-// never sends them here, so an arrival is a real error worth surfacing.
-func (w *Worker) executeAccel(ctx context.Context, job core.Job, rep *serve.ResultReport) {
-	if !w.accel.Accepts(job.Options) {
-		rep.Error = "worker: options outside the accelerator's surface"
-		return
-	}
-	pw, ph, frames, err := core.ProxyDims(job.Workload)
-	if err != nil {
-		rep.Error = err.Error()
-		return
-	}
-	if job.Segment.End > job.Segment.Start {
-		frames = job.Segment.End - job.Segment.Start
-	}
-	res, err := core.EncodeOnly(ctx, job)
-	if err != nil {
-		rep.Error = err.Error()
-		return
-	}
-	rep.Seconds = w.accel.Seconds(frames, pw, ph)
-	if job.KeepStream {
-		rep.Stream = res.Stream
 	}
 }
 
